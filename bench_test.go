@@ -12,13 +12,10 @@ package haystack
 
 import (
 	"fmt"
-	"net"
 	"net/netip"
 	"sync"
 	"testing"
-	"time"
 
-	"repro/internal/collector"
 	"repro/internal/detect"
 	"repro/internal/experiments"
 	"repro/internal/flow"
@@ -206,89 +203,6 @@ func BenchmarkDetectorFeedParallel(b *testing.B) {
 				b.Fatal("no detections")
 			}
 		})
-	}
-}
-
-// BenchmarkListenerIngest measures the full socket path: NetFlow v9
-// datagrams written to a bound loopback UDP socket, read by the
-// collector loop, decoded on a feed worker, and applied on the
-// sharded pipeline — the deployable ingest rate of `haystack listen`.
-func BenchmarkListenerIngest(b *testing.B) {
-	s := benchSystem(b)
-	det := s.NewShardedDetector(0.4, 8)
-	defer det.Close()
-	srv, err := det.Listen(ListenConfig{Config: collector.Config{
-		Listeners:  []collector.Listener{{Addr: "127.0.0.1:0"}},
-		MaxFeeds:   4,
-		QueueLen:   8192,
-		ReadBuffer: 4 << 20,
-	}})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer srv.Close()
-
-	ips := s.ServiceIPs("avs-alexa.simamazon.example")
-	h := simtime.HourOf(s.StudyStart())
-	recs := make([]flow.Record, 30)
-	for i := range recs {
-		recs[i] = flow.Record{
-			Key: flow.Key{
-				Src:     netip.AddrFrom4([4]byte{100, 64, byte(i >> 8), byte(i)}),
-				Dst:     ips[i%len(ips)],
-				SrcPort: uint16(40000 + i), DstPort: 443, Proto: flow.ProtoTCP,
-			},
-			Packets: 2, Bytes: 1200, Hour: h,
-		}
-	}
-	exp := netflow.NewExporter(1)
-	exp.TemplateEvery = 1
-	msgs, err := exp.Export(recs, 30)
-	if err != nil {
-		b.Fatal(err)
-	}
-	msg := msgs[0]
-
-	conn, err := net.Dial("udp", srv.Addrs()[0].String())
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer conn.Close()
-
-	b.SetBytes(int64(len(msg)))
-	b.ResetTimer()
-	sent := uint64(0)
-	for i := 0; i < b.N; i++ {
-		if _, err := conn.Write(msg); err != nil {
-			b.Fatal(err)
-		}
-		sent++
-		// Backpressure: keep the un-received backlog well under the
-		// kernel socket buffer (a couple hundred datagrams at default
-		// rmem) so the benchmark measures ingest, not silent kernel
-		// drops.
-		if sent%64 == 0 {
-			for sent-srv.Stats().Datagrams > 128 {
-				time.Sleep(20 * time.Microsecond)
-			}
-		}
-	}
-	deadline := time.Now().Add(30 * time.Second)
-	for srv.Stats().Datagrams < sent {
-		if time.Now().After(deadline) {
-			break // kernel dropped some; report it below
-		}
-		time.Sleep(100 * time.Microsecond)
-	}
-	srv.Sync()
-	b.StopTimer()
-	st := srv.Stats()
-	b.ReportMetric(float64(st.Records)/b.Elapsed().Seconds(), "records/s")
-	if lost := sent - st.Datagrams; lost > 0 {
-		b.ReportMetric(float64(lost), "kernel_dropped")
-	}
-	if st.DroppedDatagrams > 0 {
-		b.ReportMetric(float64(st.DroppedDatagrams), "queue_dropped")
 	}
 }
 

@@ -335,11 +335,10 @@ type Feed struct {
 	nf      *netflow.Collector
 	ix      *ipfix.Collector
 	records atomic.Uint64
-	// arena receives decoded records for the zero-setup
-	// FeedNetFlow/FeedIPFIX entry points; the socket layer hands its
-	// own per-lane arena through FeedNetFlowBatch/FeedIPFIXBatch
-	// instead. obs is the reusable record→observation staging buffer
-	// shared by both paths. Single-goroutine, like the rest of Feed.
+	// arena receives decoded records for FeedNetFlow/FeedIPFIX, the
+	// entry points the socket layer drives; it is reset, not freed,
+	// between messages. obs is the reusable record→observation staging
+	// buffer. Single-goroutine, like the rest of Feed.
 	arena flow.Batch
 	obs   []pipeline.Obs
 }
@@ -471,8 +470,7 @@ func (f *Feed) FeedIPFIX(msg []byte) error {
 // arena and feeds the decoded batch to the pipeline. The arena must
 // arrive Reset; its backing storage is reused across messages, so the
 // whole decode-to-dispatch path runs without steady-state allocation.
-// Feed satisfies collector.ArenaFeed through this pair, which is how
-// the socket layer's per-lane arenas reach the decoders.
+// FeedNetFlow is this call on the feed's own arena.
 func (f *Feed) FeedNetFlowBatch(msg []byte, arena *flow.Batch) error {
 	err := f.nf.FeedInto(msg, arena)
 	f.observeBatch(arena.Records()) // records decoded before a mid-message error still count

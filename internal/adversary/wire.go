@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/detect"
 	"repro/internal/flow"
+	"repro/internal/flowwire"
 	"repro/internal/ipfix"
 	"repro/internal/isp"
 	"repro/internal/netflow"
@@ -35,36 +36,41 @@ import (
 //     mismatches (Gaps) but still decode the records — detection
 //     quality must not depend on exporter sequence honesty.
 
-// wireExporter is the common surface of the NetFlow v9 and IPFIX
-// encoders.
-type wireExporter interface {
-	Export(records []flow.Record, maxRecords int) ([][]byte, error)
-}
-
 // wireMaxRecords is the per-message record cap for wire trials: small
 // enough that a lost template costs several messages of evidence.
 const wireMaxRecords = 25
 
-// wireStream is one misbehaving export stream (one protocol).
+// wireStream is one misbehaving export stream (one protocol): an
+// exporter and a collector of the same dialect.
 type wireStream struct {
-	newExporter func(id uint32) wireExporter
-	decode      func(msg []byte) ([]flow.Record, error)
-	// seqOffset is the byte offset of the header's 32-bit sequence
-	// field: 12 in NetFlow v9, 8 in IPFIX.
-	seqOffset int
+	d             *flowwire.Dialect
+	coll          *flowwire.Collector
+	templateEvery int
 
-	exp          wireExporter
+	exp          *flowwire.Exporter
 	srcID        uint32
 	buf          []flow.Record
 	delivered    int  // messages actually fed to the collector
 	withholdNext bool // lose the next message (template announcement)
 }
 
+func newWireStream(d *flowwire.Dialect, srcID uint32, templateEvery int) *wireStream {
+	s := &wireStream{d: d, coll: flowwire.NewCollector(d), templateEvery: templateEvery, srcID: srcID}
+	s.exp = s.newExporter()
+	return s
+}
+
+func (s *wireStream) newExporter() *flowwire.Exporter {
+	e := flowwire.NewExporter(s.d, s.srcID)
+	e.TemplateEvery = s.templateEvery
+	return e
+}
+
 // restart simulates an exporter crash/upgrade: fresh ID, fresh
 // sequence space, and a lost template announcement.
 func (s *wireStream) restart() {
 	s.srcID++
-	s.exp = s.newExporter(s.srcID)
+	s.exp = s.newExporter()
 	s.withholdNext = true
 }
 
@@ -88,9 +94,9 @@ func (s *wireStream) flush(cfg *ExperimentConfig, out []flow.Record) ([]flow.Rec
 		}
 		s.delivered++
 		if s.delivered%cfg.SeqLieEvery == 0 {
-			lieSequence(msg, s.seqOffset)
+			lieSequence(msg, s.d.SeqOffset)
 		}
-		recs, err := s.decode(msg)
+		recs, err := s.coll.Feed(msg)
 		if err != nil {
 			return out, fmt.Errorf("adversary: wire decode: %w", err)
 		}
@@ -114,31 +120,10 @@ func (r *Runner) runWireTrial(cfg ExperimentConfig, rng *simrand.RNG, pop *isp.P
 	salt := rng.Fork("wire-salt").Uint64()
 	thinRng := rng.Fork("thin")
 
-	nfColl := netflow.NewCollector()
-	ixColl := ipfix.NewCollector()
 	// Subscriber lines are partitioned across the two protocol streams
 	// by parity, like a deployment splitting its exporter fleet.
-	nf := &wireStream{
-		newExporter: func(id uint32) wireExporter {
-			e := netflow.NewExporter(id)
-			e.TemplateEvery = cfg.TemplateEvery
-			return e
-		},
-		decode:    nfColl.Feed,
-		seqOffset: 12,
-	}
-	ix := &wireStream{
-		newExporter: func(id uint32) wireExporter {
-			e := ipfix.NewExporter(id)
-			e.TemplateEvery = cfg.TemplateEvery
-			return e
-		},
-		decode:    ixColl.Feed,
-		seqOffset: 8,
-	}
-	nf.srcID, ix.srcID = 100, 200
-	nf.exp = nf.newExporter(nf.srcID)
-	ix.exp = ix.newExporter(ix.srcID)
+	nf := newWireStream(&netflow.Dialect, 100, cfg.TemplateEvery)
+	ix := newWireStream(&ipfix.Dialect, 200, cfg.TemplateEvery)
 
 	hourIdx := 0
 	var decoded []flow.Record
@@ -202,8 +187,8 @@ func (r *Runner) runWireTrial(cfg ExperimentConfig, rng *simrand.RNG, pop *isp.P
 	if wireErr != nil {
 		return nil, wireErr
 	}
-	drive.templateDrops = nfColl.Dropped.Load() + ixColl.Dropped.Load()
-	drive.sequenceGaps = nfColl.Gaps.Load() + ixColl.Gaps.Load()
+	drive.templateDrops = nf.coll.Dropped.Load() + ix.coll.Dropped.Load()
+	drive.sequenceGaps = nf.coll.Gaps.Load() + ix.coll.Gaps.Load()
 	return drive, nil
 }
 

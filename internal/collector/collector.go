@@ -45,8 +45,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
-
-	"repro/internal/flow"
 )
 
 // FeedStats are the transport-health counters one ingestion feed
@@ -74,19 +72,6 @@ type Feed interface {
 	FeedIPFIX(msg []byte) error
 	Stats() FeedStats
 	Close()
-}
-
-// ArenaFeed is the optional batch extension of Feed: a feed that can
-// decode a wire message into a caller-owned record arena and observe
-// the whole batch before returning. Lanes probe for it once per
-// datagram and hand over their per-lane arena (recycled alongside the
-// receive buffers, one arena per lane regardless of how many sources
-// the lane carries), so a decode allocates nothing in steady state.
-// The feed gets the arena already Reset, may leave anything in it,
-// and must not retain it past the call.
-type ArenaFeed interface {
-	FeedNetFlowBatch(msg []byte, arena *flow.Batch) error
-	FeedIPFIXBatch(msg []byte, arena *flow.Batch) error
 }
 
 // Proto selects the wire protocol of a listener.
@@ -364,12 +349,6 @@ type worker struct {
 	ch      chan datagram
 	started atomic.Bool
 
-	// arena is the lane's record arena: every ArenaFeed decode on this
-	// lane reuses it (reset-don't-free), so per-datagram decode costs
-	// no allocation once the arena has grown to the working set. Owned
-	// by the lane goroutine.
-	arena *flow.Batch
-
 	// feeds is written only by the worker goroutine (under mu, so
 	// metrics readers can iterate a consistent view); the worker's
 	// own lock-free reads race with nothing.
@@ -476,7 +455,6 @@ func Listen(cfg Config, newFeed func() Feed) (*Server, error) {
 			idx:   i,
 			ch:    make(chan datagram, cfg.QueueLen),
 			feeds: make(map[sourceKey]Feed),
-			arena: flow.NewBatch(512),
 		}
 	}
 	closeAll := func() {
@@ -787,16 +765,7 @@ func (s *Server) decode(w *worker, d datagram) {
 		w.mu.Unlock()
 	}
 	var err error
-	if af, ok := feed.(ArenaFeed); ok {
-		// Batch hot path: decode the whole message into the lane's
-		// recycled arena; the feed observes the batch before returning.
-		w.arena.Reset()
-		if proto == ProtoNetFlow {
-			err = af.FeedNetFlowBatch(msg, w.arena)
-		} else {
-			err = af.FeedIPFIXBatch(msg, w.arena)
-		}
-	} else if proto == ProtoNetFlow {
+	if proto == ProtoNetFlow {
 		err = feed.FeedNetFlow(msg)
 	} else {
 		err = feed.FeedIPFIX(msg)

@@ -115,4 +115,25 @@ func TestObserveBatchZeroAllocs(t *testing.T) {
 	if allocs != 0 {
 		t.Fatalf("steady-state ObserveBatch allocates %v allocs/run, want 0", allocs)
 	}
+
+	// The same holds for a batch that fires: nobody reads a fired list
+	// on this path, so none may be built. Forgetting every detection
+	// before each run makes the evidence re-cross its thresholds.
+	fires := 0
+	e.OnFire = func(SubID, int, simtime.Hour) { fires++ }
+	allocs = testing.AllocsPerRun(100, func() {
+		for _, st := range e.subs {
+			for i := range st.states {
+				st.states[i].detected = false
+			}
+		}
+		clear(e.detections)
+		e.ObserveBatch(obs)
+	})
+	if fires == 0 {
+		t.Fatal("the batch fired no rule; the guard measured nothing")
+	}
+	if allocs != 0 {
+		t.Fatalf("firing ObserveBatch allocates %v allocs/run, want 0", allocs)
+	}
 }

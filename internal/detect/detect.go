@@ -114,22 +114,8 @@ func (e *Engine) Dictionary() *rules.Dictionary { return e.dict }
 // pkts sampled packets with service endpoint (ip, port) during hour h.
 // Returns the rules that newly fired on this observation.
 func (e *Engine) Observe(sub SubID, h simtime.Hour, ip netip.Addr, port uint16, pkts uint64) []int {
-	targets := e.dict.Lookup(h.Day(), ip, port)
-	if len(targets) == 0 {
-		return nil
-	}
-	st := e.subs[sub]
-	if st == nil {
-		st = &subState{}
-		e.subs[sub] = st
-	}
 	var fired []int
-	for _, t := range targets {
-		rs := st.get(t.Rule)
-		rs.bits.set(t.Bit)
-		rs.pkts += pkts
-		fired = e.evaluate(sub, st, t.Rule, h, fired)
-	}
+	e.observe([]Obs{{Sub: sub, Hour: h, IP: ip, Port: port, Pkts: pkts}}, &fired)
 	return fired
 }
 
@@ -146,17 +132,24 @@ type Obs struct {
 	Pkts uint64
 }
 
-// ObserveBatch feeds a batch of observations. It is semantically
-// identical to calling Observe for each element in order — OnFire
-// fires for exactly the same (subscriber, rule, hour) sequence — but
-// amortizes per-record costs: the subscriber-state map lookup is
-// hoisted across runs of consecutive same-subscriber observations,
-// the common shape after a decoded flow batch is partitioned by
-// shard. Newly-fired rules are reported only through OnFire.
+// ObserveBatch feeds a batch of observations. It is Observe for each
+// element in order — OnFire fires for exactly the same (subscriber,
+// rule, hour) sequence — with newly-fired rules reported only through
+// OnFire.
 //
 // haystack:hotpath — runs once per shard batch, the innermost loop of
 // the socket-to-detection path.
-func (e *Engine) ObserveBatch(obs []Obs) {
+func (e *Engine) ObserveBatch(obs []Obs) { e.observe(obs, nil) }
+
+// observe is the one per-observation body behind Observe and
+// ObserveBatch. The subscriber-state map lookup is hoisted across runs
+// of consecutive same-subscriber observations, the common shape after
+// a decoded flow batch is partitioned by shard. Newly fired rules are
+// appended to *fired when a caller wants the list; with fired nil
+// nothing is built, so the batch path never allocates.
+//
+// haystack:hotpath — loops per observation.
+func (e *Engine) observe(obs []Obs, fired *[]int) {
 	var (
 		cur SubID
 		st  *subState
@@ -179,41 +172,38 @@ func (e *Engine) ObserveBatch(obs []Obs) {
 			rs := st.get(t.Rule)
 			rs.bits.set(t.Bit)
 			rs.pkts += o.Pkts
-			e.evaluate(cur, st, t.Rule, o.Hour, nil)
+			e.evaluate(cur, st, t.Rule, o.Hour, fired)
 		}
 	}
 }
 
 // evaluate re-checks a rule (and its dependents) after new evidence.
-func (e *Engine) evaluate(sub SubID, st *subState, rule int, h simtime.Hour, fired []int) []int {
+func (e *Engine) evaluate(sub SubID, st *subState, rule int, h simtime.Hour, fired *[]int) {
 	rs := st.lookup(rule)
-	if rs == nil || rs.detected {
-		return fired
-	}
-	if rs.bits.count() < e.minDoms[rule] {
-		return fired
+	if rs == nil || rs.detected || rs.bits.count() < e.minDoms[rule] {
+		return
 	}
 	r := &e.dict.Rules[rule]
 	if r.RequireParent && r.Parent >= 0 {
-		ps := st.lookup(r.Parent)
-		if ps == nil || !ps.detected {
-			return fired
+		if ps := st.lookup(r.Parent); ps == nil || !ps.detected {
+			return
 		}
 	}
 	rs.detected = true
 	rs.firstHour = h
 	e.detections[rule]++
-	fired = append(fired, rule)
+	if fired != nil {
+		*fired = append(*fired, rule)
+	}
 	if e.OnFire != nil {
 		e.OnFire(sub, rule, h)
 	}
 	// A newly-confirmed parent may release children waiting on it.
 	for i := range e.dict.Rules {
 		if e.dict.Rules[i].RequireParent && e.dict.Rules[i].Parent == rule {
-			fired = e.evaluate(sub, st, i, h, fired)
+			e.evaluate(sub, st, i, h, fired)
 		}
 	}
-	return fired
 }
 
 // Restore marks (sub, rule) as already detected with the given first

@@ -5,6 +5,7 @@ import (
 	"testing/quick"
 
 	"repro/internal/flow"
+	"repro/internal/flowwire/wireref"
 	"repro/internal/simrand"
 )
 
@@ -20,11 +21,11 @@ func TestFeedNeverPanicsOnRandomBytes(t *testing.T) {
 }
 
 // FuzzFeed is the native fuzz target behind the quick-check tests:
-// whatever bytes arrive, Feed must return without panicking, decoded
-// records must carry only addresses the Detector feed path can handle
-// (4-byte or invalid — never a mis-sized Addr), and the arena path
-// must agree with the record path byte-for-byte: FeedInto on a reused
-// batch decodes exactly what Feed decodes, with the same error
+// whatever bytes arrive, FeedInto must return without panicking,
+// decoded records must carry only addresses the Detector feed path can
+// handle (4-byte or invalid — never a mis-sized Addr), and the codec,
+// decoding into a reused arena, must agree with the naive reference
+// decoder in wireref record for record, with the same error
 // disposition.
 func FuzzFeed(f *testing.F) {
 	exp := NewExporter(1)
@@ -36,28 +37,27 @@ func FuzzFeed(f *testing.F) {
 	f.Add(msgs[0])
 	f.Add([]byte{})
 	f.Add([]byte{0, 10, 0, 16})
+	ref := wireref.Format{Version: 10, HeaderLen: 16, TimeAt: 4, HasLength: true, TemplateSet: 2}
 	arena := flow.NewBatch(64) // reused across inputs: stale state must never leak
 	f.Fuzz(func(t *testing.T, data []byte) {
-		col := NewCollector()
-		recs, err := col.Feed(data)
-		for i := range recs {
-			if a := recs[i].Key.Src; a.IsValid() && !a.Is4() {
+		arena.Reset()
+		err := NewCollector().FeedInto(data, arena)
+		got := arena.Records()
+		for i := range got {
+			if a := got[i].Key.Src; a.IsValid() && !a.Is4() {
 				t.Fatalf("decoded non-IPv4 source %v", a)
 			}
 		}
-		colB := NewCollector()
-		arena.Reset()
-		errB := colB.FeedInto(data, arena)
-		if (err == nil) != (errB == nil) {
-			t.Fatalf("Feed err=%v, FeedInto err=%v", err, errB)
+		want, ok := wireref.Decode(ref, data)
+		if ok != (err == nil) {
+			t.Fatalf("FeedInto err=%v, reference well-formed=%v", err, ok)
 		}
-		got := arena.Records()
-		if len(got) != len(recs) {
-			t.Fatalf("Feed decoded %d records, FeedInto %d", len(recs), len(got))
+		if len(got) != len(want) {
+			t.Fatalf("FeedInto decoded %d records, reference %d", len(got), len(want))
 		}
-		for i := range recs {
-			if recs[i] != got[i] {
-				t.Fatalf("record %d: Feed %+v, FeedInto %+v", i, recs[i], got[i])
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("record %d: FeedInto %+v, reference %+v", i, got[i], want[i])
 			}
 		}
 	})

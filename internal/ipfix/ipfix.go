@@ -1,23 +1,16 @@
-// Package ipfix implements the subset of IPFIX (RFC 7011) used by the
-// IXP vantage point: template sets, data sets, and a collector with a
-// per-observation-domain template cache.
-//
-// IPFIX and NetFlow v9 share the IANA information-element numbering for
-// the fields we carry, but the message framing differs: IPFIX headers
-// carry an explicit message length and export time, template sets use
-// set ID 2, and the sequence number counts data records rather than
-// messages.
+// Package ipfix is the IPFIX (RFC 7011) dialect of the flow-export
+// codec in internal/flowwire, used by the IXP vantage point. It holds
+// only what IPFIX does differently from NetFlow v9: a 16-byte header
+// with an explicit message length, template sets under ID 2, and a
+// sequence number that counts data records rather than messages.
 package ipfix
 
 import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"net/netip"
-	"sync/atomic"
 
-	"repro/internal/flow"
-	"repro/internal/simtime"
+	"repro/internal/flowwire"
 )
 
 // Version is the IPFIX protocol version (RFC 7011 §3.1).
@@ -25,209 +18,50 @@ const Version = 10
 
 // Information element IDs (IANA, same numbering as NetFlow v9 fields).
 const (
-	IEOctetDeltaCount    = 1
-	IEPacketDeltaCount   = 2
-	IEProtocolIdentifier = 4
-	IETCPControlBits     = 6
-	IESourcePort         = 7
-	IESourceIPv4Address  = 8
-	IEDestinationPort    = 11
-	IEDestinationIPv4    = 12
+	IEOctetDeltaCount    = flowwire.FieldInBytes
+	IEPacketDeltaCount   = flowwire.FieldInPkts
+	IEProtocolIdentifier = flowwire.FieldProtocol
+	IETCPControlBits     = flowwire.FieldTCPFlags
+	IESourcePort         = flowwire.FieldL4SrcPort
+	IESourceIPv4Address  = flowwire.FieldIPv4SrcAddr
+	IEDestinationPort    = flowwire.FieldL4DstPort
+	IEDestinationIPv4    = flowwire.FieldIPv4DstAddr
 )
 
-// FieldSpec is one (element ID, length) pair in a template record.
-type FieldSpec struct {
-	ID     uint16
-	Length uint16
-}
-
-// Template describes the layout of data records in a data set.
-type Template struct {
-	ID     uint16 // >= 256
-	Fields []FieldSpec
-}
-
-// RecordLen returns the encoded size of one data record.
-func (t Template) RecordLen() int {
-	n := 0
-	for _, f := range t.Fields {
-		n += int(f.Length)
-	}
-	return n
-}
-
 // FlowTemplate is the canonical template used by the simulated IXP
-// switching fabric.
-var FlowTemplate = Template{
-	ID: 300,
-	Fields: []FieldSpec{
-		{IESourceIPv4Address, 4},
-		{IEDestinationIPv4, 4},
-		{IESourcePort, 2},
-		{IEDestinationPort, 2},
-		{IEProtocolIdentifier, 1},
-		{IETCPControlBits, 1},
-		{IEPacketDeltaCount, 4},
-		{IEOctetDeltaCount, 4},
-	},
-}
+// switching fabric: the shared flow fields and nothing else.
+var FlowTemplate = flowwire.Template{ID: 300, Fields: flowwire.FlowFields}
 
 const (
 	headerLen     = 16
-	setHeaderLen  = 4
+	seqOffset     = 8
 	templateSetID = 2
-	minDataSetID  = 256
 )
 
-// Exporter packages flow records into IPFIX messages. Not safe for
-// concurrent use.
-type Exporter struct {
-	DomainID      uint32
-	TemplateEvery int
-
-	seq      uint32 // data records sent so far (RFC 7011 §3.1)
-	messages int
+// Dialect is IPFIX's framing.
+var Dialect = flowwire.Dialect{
+	Name:             "ipfix",
+	HeaderLen:        headerLen,
+	SeqOffset:        seqOffset,
+	TemplateSetID:    templateSetID,
+	SeqCountsRecords: true, // RFC 7011 §3.1
+	Template:         FlowTemplate,
+	ParseHeader:      parseHeader,
+	PutHeader:        putHeader,
 }
 
-// NewExporter returns an exporter for one observation domain.
-func NewExporter(domainID uint32) *Exporter {
-	return &Exporter{DomainID: domainID, TemplateEvery: 20}
-}
-
-// Export encodes records into messages of at most maxRecords each.
-// Each message is its own allocation; send paths that reuse one
-// buffer should drive AppendMessage instead.
-func (e *Exporter) Export(records []flow.Record, maxRecords int) ([][]byte, error) {
-	if maxRecords <= 0 {
-		maxRecords = 30
-	}
-	var msgs [][]byte
-	for len(records) > 0 {
-		n := min(maxRecords, len(records))
-		msg, err := e.encodeMessage(records[:n])
-		if err != nil {
-			return nil, err
-		}
-		msgs = append(msgs, msg)
-		records = records[n:]
-	}
-	return msgs, nil
-}
-
-// AppendMessage encodes the next message — at most maxRecords of
-// records — into buf's spare capacity and returns the extended buffer
-// plus how many records it consumed. Callers loop, slicing consumed
-// records off and resetting buf to buf[:0] between messages, so a
-// sustained send path reuses one encode buffer instead of allocating
-// per message (Export's behavior). On error buf is returned unchanged.
-func (e *Exporter) AppendMessage(buf []byte, records []flow.Record, maxRecords int) ([]byte, int, error) {
-	if maxRecords <= 0 {
-		maxRecords = 30
-	}
-	n := min(maxRecords, len(records))
-	out, err := e.appendMessage(buf, records[:n])
-	if err != nil {
-		return buf, 0, err
-	}
-	return out, n, nil
-}
-
-func (e *Exporter) encodeMessage(records []flow.Record) ([]byte, error) {
-	return e.appendMessage(make([]byte, 0, headerLen+len(records)*FlowTemplate.RecordLen()+64), records)
-}
-
-func (e *Exporter) appendMessage(buf []byte, records []flow.Record) ([]byte, error) {
-	withTemplate := e.messages == 0 || (e.TemplateEvery > 0 && e.messages%e.TemplateEvery == 0)
-	e.messages++
-
-	var exportTime uint32
-	if len(records) > 0 {
-		exportTime = uint32(records[0].Hour.Time().Unix())
-	}
-
-	start := len(buf) // the Length field covers this message alone
-	buf = binary.BigEndian.AppendUint16(buf, Version)
-	buf = binary.BigEndian.AppendUint16(buf, 0) // length patched below
-	buf = binary.BigEndian.AppendUint32(buf, exportTime)
-	buf = binary.BigEndian.AppendUint32(buf, e.seq)
-	buf = binary.BigEndian.AppendUint32(buf, e.DomainID)
-	e.seq += uint32(len(records))
-
-	if withTemplate {
-		buf = appendTemplateSet(buf, FlowTemplate)
-	}
-	var err error
-	buf, err = appendDataSet(buf, FlowTemplate, records)
-	if err != nil {
-		return nil, err
-	}
-	if len(buf)-start > 0xffff {
-		return nil, fmt.Errorf("ipfix: message length %d exceeds 65535", len(buf)-start)
-	}
-	binary.BigEndian.PutUint16(buf[start+2:start+4], uint16(len(buf)-start))
-	return buf, nil
-}
-
-func appendTemplateSet(buf []byte, t Template) []byte {
-	body := setHeaderLen + 4 + len(t.Fields)*4
-	buf = binary.BigEndian.AppendUint16(buf, templateSetID)
-	buf = binary.BigEndian.AppendUint16(buf, uint16(body))
-	buf = binary.BigEndian.AppendUint16(buf, t.ID)
-	buf = binary.BigEndian.AppendUint16(buf, uint16(len(t.Fields)))
-	for _, f := range t.Fields {
-		buf = binary.BigEndian.AppendUint16(buf, f.ID)
-		buf = binary.BigEndian.AppendUint16(buf, f.Length)
-	}
-	return buf
-}
-
-func appendDataSet(buf []byte, t Template, records []flow.Record) ([]byte, error) {
-	recLen := t.RecordLen()
-	body := setHeaderLen + recLen*len(records)
-	pad := (4 - body%4) % 4 // RFC 7011 §3.3.1 permits padding
-	buf = binary.BigEndian.AppendUint16(buf, t.ID)
-	buf = binary.BigEndian.AppendUint16(buf, uint16(body+pad))
-	for i := range records {
-		r := &records[i]
-		if !r.Key.Src.Is4() || !r.Key.Dst.Is4() {
-			return nil, fmt.Errorf("ipfix: record %v is not IPv4", r.Key)
-		}
-		src, dst := r.Key.Src.As4(), r.Key.Dst.As4()
-		buf = append(buf, src[:]...)
-		buf = append(buf, dst[:]...)
-		buf = binary.BigEndian.AppendUint16(buf, r.Key.SrcPort)
-		buf = binary.BigEndian.AppendUint16(buf, r.Key.DstPort)
-		buf = append(buf, uint8(r.Key.Proto), r.TCPFlags)
-		buf = binary.BigEndian.AppendUint32(buf, uint32(min(r.Packets, 0xffffffff)))
-		buf = binary.BigEndian.AppendUint32(buf, uint32(min(r.Bytes, 0xffffffff)))
-	}
-	for i := 0; i < pad; i++ {
-		buf = append(buf, 0)
-	}
-	return buf, nil
-}
-
-// Collector parses IPFIX messages. Feed is not safe for concurrent
-// use, but the Dropped and Gaps counters are atomics so a metrics
-// reader may load them while another goroutine drives Feed.
-type Collector struct {
-	templates map[uint64]Template
-	// Dropped counts data sets skipped for lack of a template.
-	Dropped atomic.Uint64
-	// Sequence gap detection.
-	lastSeq map[uint32]uint32
-	// Gaps counts messages whose sequence number did not match the
-	// expected continuation (lost or reordered transport).
-	Gaps atomic.Uint64
-}
+// Collector parses IPFIX messages; see flowwire.Collector.
+type Collector = flowwire.Collector
 
 // NewCollector returns an empty collector.
-func NewCollector() *Collector {
-	return &Collector{
-		templates: make(map[uint64]Template),
-		lastSeq:   make(map[uint32]uint32),
-	}
-}
+func NewCollector() *Collector { return flowwire.NewCollector(&Dialect) }
+
+// Exporter packages flow records into IPFIX messages; see
+// flowwire.Exporter.
+type Exporter = flowwire.Exporter
+
+// NewExporter returns an exporter for one observation domain.
+func NewExporter(domainID uint32) *Exporter { return flowwire.NewExporter(&Dialect, domainID) }
 
 // Errors returned by the collector.
 var (
@@ -236,226 +70,39 @@ var (
 	ErrBadLength    = errors.New("ipfix: bad message length")
 )
 
-// Feed parses one message and returns the decoded flow records. It is
-// a thin compatibility wrapper over FeedInto: it decodes into a fresh
-// arena and returns the backing slice, allocating per call. Hot
-// callers should hold a reusable flow.Batch and call FeedInto.
-func (c *Collector) Feed(msg []byte) ([]flow.Record, error) {
-	var b flow.Batch
-	err := c.FeedInto(msg, &b)
-	return b.Records(), err
-}
-
-// FeedInto parses one message, appending every decoded record to b.
-// The batch's prior contents are preserved, and records decoded
-// before a mid-message error remain appended — callers that need
-// all-or-nothing semantics can Truncate back to the pre-call length.
-// With a warmed batch and a stable template, FeedInto performs zero
-// steady-state allocations per message.
+// parseHeader reads the IPFIX message header (RFC 7011 §3.1). Sets are
+// read up to the header's length, not the buffer's.
 //
-// haystack:hotpath — runs once per message; error construction lives
-// in outlined cold helpers.
-func (c *Collector) FeedInto(msg []byte, b *flow.Batch) error {
+// haystack:hotpath — runs once per message.
+func parseHeader(msg []byte) (flowwire.Header, []byte, error) {
 	if len(msg) < headerLen {
-		return ErrShortMessage
+		return flowwire.Header{}, nil, ErrShortMessage
 	}
 	if v := binary.BigEndian.Uint16(msg[0:2]); v != Version {
-		return errBadVersion(v)
+		return flowwire.Header{}, nil, errBadVersion(v)
 	}
 	length := int(binary.BigEndian.Uint16(msg[2:4]))
 	if length < headerLen || length > len(msg) {
-		return errBadLength(length, len(msg))
+		return flowwire.Header{}, nil, errBadLength(length, len(msg))
 	}
-	exportTime := binary.BigEndian.Uint32(msg[4:8])
-	seq := binary.BigEndian.Uint32(msg[8:12])
-	domain := binary.BigEndian.Uint32(msg[12:16])
-	hour := simtime.Hour(int64(exportTime) / 3600)
-
-	want, anchored := c.lastSeq[domain]
-
-	// The next expected sequence number is this message's sequence plus
-	// the number of data records it carries (RFC 7011 §3.1). That count
-	// is only known when every data set decodes: a set dropped for lack
-	// of a template carries an unknown number of records. Advancing by
-	// the decoded count in that case (or not at all for a message that
-	// errors mid-parse) would silently desynchronize gap detection for
-	// the rest of the stream — and counting the gap up front would
-	// report phantom loss on e.g. an exporter restart whose first
-	// post-restart message is untemplated — so both the gap comparison
-	// and the anchor are deferred until the message is known clean;
-	// otherwise tracking is invalidated and re-anchored by the next
-	// clean message.
-	start := b.Len()
-	counted := true
-	rest := msg[headerLen:length]
-	for len(rest) >= setHeaderLen {
-		setID := binary.BigEndian.Uint16(rest[0:2])
-		setLen := int(binary.BigEndian.Uint16(rest[2:4]))
-		if setLen < setHeaderLen || setLen > len(rest) {
-			delete(c.lastSeq, domain)
-			return errSetOverrun(setLen, len(rest))
-		}
-		body := rest[setHeaderLen:setLen]
-		switch {
-		case setID == templateSetID:
-			if err := c.parseTemplates(domain, body); err != nil {
-				delete(c.lastSeq, domain)
-				return err
-			}
-		case setID >= minDataSetID:
-			if !c.parseDataInto(domain, setID, body, hour, b) {
-				counted = false
-			}
-		}
-		rest = rest[setLen:]
-	}
-	if counted {
-		if anchored && seq != want {
-			c.Gaps.Add(1)
-		}
-		// This message's record count is what was appended past the
-		// batch contents the caller handed in.
-		c.lastSeq[domain] = seq + uint32(b.Len()-start)
-	} else {
-		delete(c.lastSeq, domain)
-	}
-	return nil
+	return flowwire.Header{
+		ExportTime: binary.BigEndian.Uint32(msg[4:8]),
+		Seq:        binary.BigEndian.Uint32(msg[seqOffset : seqOffset+4]),
+		Source:     binary.BigEndian.Uint32(msg[12:16]),
+	}, msg[headerLen:length], nil
 }
 
-func (c *Collector) parseTemplates(domain uint32, body []byte) error {
-	for len(body) >= 4 {
-		id := binary.BigEndian.Uint16(body[0:2])
-		n := int(binary.BigEndian.Uint16(body[2:4]))
-		body = body[4:]
-		if len(body) < n*4 {
-			return fmt.Errorf("ipfix: truncated template %d", id)
-		}
-		// Exporters re-announce templates periodically over UDP; skip
-		// the allocation when the announcement matches the cached
-		// layout, so steady-state decode stays allocation-free.
-		key := uint64(domain)<<16 | uint64(id)
-		if cached, ok := c.templates[key]; ok && templateEqual(cached, body[:n*4]) {
-			body = body[n*4:]
-			continue
-		}
-		t := Template{ID: id, Fields: make([]FieldSpec, n)}
-		for i := 0; i < n; i++ {
-			t.Fields[i] = FieldSpec{
-				ID:     binary.BigEndian.Uint16(body[i*4:]),
-				Length: binary.BigEndian.Uint16(body[i*4+2:]),
-			}
-		}
-		body = body[n*4:]
-		c.templates[key] = t
-	}
-	return nil
+func putHeader(msg []byte, h flowwire.Header, _ int) {
+	binary.BigEndian.PutUint16(msg[0:2], Version)
+	binary.BigEndian.PutUint16(msg[2:4], uint16(len(msg)))
+	binary.BigEndian.PutUint32(msg[4:8], h.ExportTime)
+	binary.BigEndian.PutUint32(msg[seqOffset:seqOffset+4], h.Seq)
+	binary.BigEndian.PutUint32(msg[12:16], h.Source)
 }
 
-// templateEqual reports whether the cached template matches a wire
-// announcement (spec holds the (element ID, length) pairs, 4 bytes
-// each).
-//
-// haystack:hotpath — runs once per re-announced template.
-func templateEqual(t Template, spec []byte) bool {
-	if len(t.Fields)*4 != len(spec) {
-		return false
-	}
-	// Shrinking-view walk, like the data-record decoder: every read is
-	// against the guarded front of spec.
-	for i := range t.Fields {
-		if len(spec) < 4 {
-			return false
-		}
-		if t.Fields[i].ID != binary.BigEndian.Uint16(spec) ||
-			t.Fields[i].Length != binary.BigEndian.Uint16(spec[2:]) {
-			return false
-		}
-		spec = spec[4:]
-	}
-	return true
-}
-
-// parseDataInto decodes one data set into the caller's arena. The
-// boolean reports whether the set's record count is fully known
-// (false when the template is missing or degenerate).
-//
-// haystack:hotpath — runs once per data set.
-func (c *Collector) parseDataInto(domain uint32, setID uint16, body []byte, hour simtime.Hour, b *flow.Batch) bool {
-	t, ok := c.templates[uint64(domain)<<16|uint64(setID)]
-	if !ok {
-		c.Dropped.Add(1)
-		return false
-	}
-	recLen := t.RecordLen()
-	if recLen == 0 {
-		return false
-	}
-	for len(body) >= recLen {
-		rec := b.Append()
-		rec.Hour = hour
-		// Walk the record by slicing the front off a view of it, so
-		// every access is guarded by the view's remaining length —
-		// sum(field lengths) == recLen makes the guard dead code, but
-		// the decoder stays safe (and provably in bounds) even if a
-		// template ever lied.
-		fields := body[:recLen]
-		for _, f := range t.Fields {
-			n := int(f.Length)
-			if n > len(fields) {
-				break
-			}
-			fb := fields[:n]
-			fields = fields[n:]
-			switch f.ID {
-			case IESourceIPv4Address:
-				if len(fb) == 4 {
-					rec.Key.Src = netip.AddrFrom4([4]byte(fb))
-				}
-			case IEDestinationIPv4:
-				if len(fb) == 4 {
-					rec.Key.Dst = netip.AddrFrom4([4]byte(fb))
-				}
-			case IESourcePort:
-				rec.Key.SrcPort = uint16(beUint(fb))
-			case IEDestinationPort:
-				rec.Key.DstPort = uint16(beUint(fb))
-			case IEProtocolIdentifier:
-				rec.Key.Proto = flow.Proto(beUint(fb))
-			case IETCPControlBits:
-				rec.TCPFlags = uint8(beUint(fb))
-			case IEPacketDeltaCount:
-				rec.Packets = beUint(fb)
-			case IEOctetDeltaCount:
-				rec.Bytes = beUint(fb)
-			}
-		}
-		body = body[recLen:]
-	}
-	// Any remainder here is shorter than one record, which RFC 7011
-	// §3.3.1 permits as set padding, so the record count is exact.
-	return true
-}
-
-// Cold-path error constructors, outlined so the haystack:hotpath
-// decode functions above stay fmt-free. Each fires at most once per
-// malformed message, never per record.
+// Cold-path error constructors, outlined so parseHeader stays fmt-free.
 func errBadVersion(v uint16) error { return fmt.Errorf("%w: %d", ErrBadVersion, v) }
 
 func errBadLength(length, have int) error {
 	return fmt.Errorf("%w: header says %d, have %d", ErrBadLength, length, have)
-}
-
-func errSetOverrun(setLen, remaining int) error {
-	return fmt.Errorf("ipfix: set length %d exceeds remaining %d", setLen, remaining)
-}
-
-// beUint decodes a big-endian unsigned integer of any width.
-//
-// haystack:hotpath — runs several times per record.
-func beUint(b []byte) uint64 {
-	var v uint64
-	for _, x := range b {
-		v = v<<8 | uint64(x)
-	}
-	return v
 }

@@ -5,6 +5,7 @@ import (
 	"testing/quick"
 
 	"repro/internal/flow"
+	"repro/internal/flowwire/wireref"
 	"repro/internal/simrand"
 )
 
@@ -49,11 +50,11 @@ func TestFeedNeverPanicsOnMutatedMessages(t *testing.T) {
 }
 
 // FuzzFeed is the native fuzz target behind the two quick-check tests
-// above: whatever bytes arrive, Feed must return without panicking,
-// decoded records must carry only addresses the Detector feed path
-// can handle (4-byte or invalid — never a mis-sized Addr), and the
-// arena path must agree with the record path byte-for-byte: FeedInto
-// on a reused batch decodes exactly what Feed decodes, with the same
+// above: whatever bytes arrive, FeedInto must return without
+// panicking, decoded records must carry only addresses the Detector
+// feed path can handle (4-byte or invalid — never a mis-sized Addr),
+// and the codec, decoding into a reused arena, must agree with the
+// naive reference decoder in wireref record for record, with the same
 // error disposition.
 func FuzzFeed(f *testing.F) {
 	exp := NewExporter(1)
@@ -74,28 +75,27 @@ func FuzzFeed(f *testing.F) {
 	short = append(short, 0, 0, 0, 12, 1, 0, 0, 1, 0, 8, 0, 2)            // template 256: srcaddr len 2
 	short = append(short, 1, 0, 0, 6, 10, 1)                              // data set, one 2-byte record
 	f.Add(short)
+	ref := wireref.Format{Version: 9, HeaderLen: 20, TimeAt: 8, TemplateSet: 0}
 	arena := flow.NewBatch(64) // reused across inputs: stale state must never leak
 	f.Fuzz(func(t *testing.T, data []byte) {
-		col := NewCollector()
-		recs, err := col.Feed(data)
-		for i := range recs {
-			if a := recs[i].Key.Src; a.IsValid() && !a.Is4() {
+		arena.Reset()
+		err := NewCollector().FeedInto(data, arena)
+		got := arena.Records()
+		for i := range got {
+			if a := got[i].Key.Src; a.IsValid() && !a.Is4() {
 				t.Fatalf("decoded non-IPv4 source %v", a)
 			}
 		}
-		colB := NewCollector()
-		arena.Reset()
-		errB := colB.FeedInto(data, arena)
-		if (err == nil) != (errB == nil) {
-			t.Fatalf("Feed err=%v, FeedInto err=%v", err, errB)
+		want, ok := wireref.Decode(ref, data)
+		if ok != (err == nil) {
+			t.Fatalf("FeedInto err=%v, reference well-formed=%v", err, ok)
 		}
-		got := arena.Records()
-		if len(got) != len(recs) {
-			t.Fatalf("Feed decoded %d records, FeedInto %d", len(recs), len(got))
+		if len(got) != len(want) {
+			t.Fatalf("FeedInto decoded %d records, reference %d", len(got), len(want))
 		}
-		for i := range recs {
-			if recs[i] != got[i] {
-				t.Fatalf("record %d: Feed %+v, FeedInto %+v", i, recs[i], got[i])
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("record %d: FeedInto %+v, reference %+v", i, got[i], want[i])
 			}
 		}
 	})

@@ -1,252 +1,80 @@
-// Package netflow implements the subset of Cisco NetFlow v9 (RFC 3954)
-// used by the ISP vantage point: template FlowSets, data FlowSets, and a
-// collector with a per-exporter template cache.
-//
-// The exporter emits the paper's observable fields only — no payload is
-// representable at all in this format, which is precisely why the
-// methodology must work from (addresses, ports, protocol, counters).
+// Package netflow is the Cisco NetFlow v9 (RFC 3954) dialect of the
+// flow-export codec in internal/flowwire, used by the ISP vantage
+// point. It holds only what v9 does differently from IPFIX: a 20-byte
+// header with a record count and an uptime but no length, template
+// FlowSets under ID 0, a sequence number that counts export packets,
+// and a template that carries the flow's switched times.
 package netflow
 
 import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"net/netip"
-	"sync/atomic"
+	"slices"
 
-	"repro/internal/flow"
-	"repro/internal/simtime"
+	"repro/internal/flowwire"
 )
 
 // Version is the NetFlow export format version implemented here.
 const Version = 9
 
-// IANA field types (shared numbering with IPFIX information elements).
+// NetFlow v9 field types (RFC 3954 §8).
 const (
-	FieldInBytes          = 1
-	FieldInPkts           = 2
-	FieldProtocol         = 4
-	FieldTCPFlags         = 6
-	FieldL4SrcPort        = 7
-	FieldIPv4SrcAddr      = 8
-	FieldL4DstPort        = 11
-	FieldIPv4DstAddr      = 12
-	FieldLastSwitched     = 21
-	FieldFirstSwitched    = 22
-	FieldSamplingInterval = 34
+	FieldInBytes       = flowwire.FieldInBytes
+	FieldInPkts        = flowwire.FieldInPkts
+	FieldProtocol      = flowwire.FieldProtocol
+	FieldTCPFlags      = flowwire.FieldTCPFlags
+	FieldL4SrcPort     = flowwire.FieldL4SrcPort
+	FieldIPv4SrcAddr   = flowwire.FieldIPv4SrcAddr
+	FieldL4DstPort     = flowwire.FieldL4DstPort
+	FieldIPv4DstAddr   = flowwire.FieldIPv4DstAddr
+	FieldLastSwitched  = 21
+	FieldFirstSwitched = 22
 )
 
-// FieldSpec is one (type, length) pair in a template.
-type FieldSpec struct {
-	Type   uint16
-	Length uint16
-}
-
-// Template describes the layout of data records in a data FlowSet.
-type Template struct {
-	ID     uint16 // >= 256
-	Fields []FieldSpec
-}
-
-// RecordLen returns the encoded size of one data record.
-func (t Template) RecordLen() int {
-	n := 0
-	for _, f := range t.Fields {
-		n += int(f.Length)
-	}
-	return n
-}
-
 // FlowTemplate is the canonical template used by the simulated ISP's
-// border routers.
-var FlowTemplate = Template{
+// border routers: the shared flow fields, then when the flow was
+// switched.
+var FlowTemplate = flowwire.Template{
 	ID: 256,
-	Fields: []FieldSpec{
-		{FieldIPv4SrcAddr, 4},
-		{FieldIPv4DstAddr, 4},
-		{FieldL4SrcPort, 2},
-		{FieldL4DstPort, 2},
-		{FieldProtocol, 1},
-		{FieldTCPFlags, 1},
-		{FieldInPkts, 4},
-		{FieldInBytes, 4},
-		{FieldFirstSwitched, 4},
-		{FieldLastSwitched, 4},
-	},
+	Fields: append(slices.Clip(flowwire.FlowFields),
+		flowwire.FieldSpec{Type: FieldFirstSwitched, Length: 4},
+		flowwire.FieldSpec{Type: FieldLastSwitched, Length: 4}),
 }
 
-const headerLen = 20
+// switchedTimes fills those two fields in every record: uptime
+// milliseconds at the two ends of the record's hour bin, 0 and 3,599,999.
+var switchedTimes = binary.BigEndian.AppendUint32(make([]byte, 4), 3_599_999)
 
-// Exporter packages flow records into NetFlow v9 messages. Not safe for
-// concurrent use.
-type Exporter struct {
-	SourceID uint32
-	// TemplateEvery controls template refresh: a template FlowSet is
-	// included in the first message and then every TemplateEvery-th
-	// message (RFC 3954 §9 requires periodic resends over UDP).
-	TemplateEvery int
+const (
+	headerLen = 20
+	seqOffset = 12
+)
 
-	seq      uint32
-	messages int
+// Dialect is NetFlow v9's framing.
+var Dialect = flowwire.Dialect{
+	Name:          "netflow",
+	HeaderLen:     headerLen,
+	SeqOffset:     seqOffset,
+	TemplateSetID: 0,
+	Template:      FlowTemplate,
+	RecordTail:    switchedTimes,
+	ParseHeader:   parseHeader,
+	PutHeader:     putHeader,
 }
 
-// NewExporter returns an exporter for one observation point.
-func NewExporter(sourceID uint32) *Exporter {
-	return &Exporter{SourceID: sourceID, TemplateEvery: 20}
-}
-
-// Export encodes records into one or more messages of at most
-// maxRecords data records each. Each message is its own allocation;
-// send paths that reuse one buffer should drive AppendMessage instead.
-func (e *Exporter) Export(records []flow.Record, maxRecords int) ([][]byte, error) {
-	if maxRecords <= 0 {
-		maxRecords = 30
-	}
-	var msgs [][]byte
-	for len(records) > 0 {
-		n := min(maxRecords, len(records))
-		msg, err := e.encodeMessage(records[:n])
-		if err != nil {
-			return nil, err
-		}
-		msgs = append(msgs, msg)
-		records = records[n:]
-	}
-	return msgs, nil
-}
-
-// AppendMessage encodes the next message — at most maxRecords of
-// records — into buf's spare capacity and returns the extended buffer
-// plus how many records it consumed. Callers loop, slicing consumed
-// records off and resetting buf to buf[:0] between messages, so a
-// sustained send path reuses one encode buffer instead of allocating
-// per message (Export's behavior). On error buf is returned unchanged.
-func (e *Exporter) AppendMessage(buf []byte, records []flow.Record, maxRecords int) ([]byte, int, error) {
-	if maxRecords <= 0 {
-		maxRecords = 30
-	}
-	n := min(maxRecords, len(records))
-	out, err := e.appendMessage(buf, records[:n])
-	if err != nil {
-		return buf, 0, err
-	}
-	return out, n, nil
-}
-
-func (e *Exporter) encodeMessage(records []flow.Record) ([]byte, error) {
-	count := len(records) + 1 // reserve for a template record
-	return e.appendMessage(make([]byte, 0, headerLen+count*(FlowTemplate.RecordLen()+8)), records)
-}
-
-func (e *Exporter) appendMessage(buf []byte, records []flow.Record) ([]byte, error) {
-	withTemplate := e.messages == 0 || (e.TemplateEvery > 0 && e.messages%e.TemplateEvery == 0)
-	e.messages++
-
-	// All records in one export share the hour of the first record via
-	// the header's UnixSecs; the simulator flushes tables hourly.
-	var unixSecs uint32
-	if len(records) > 0 {
-		unixSecs = uint32(records[0].Hour.Time().Unix())
-	}
-
-	count := len(records)
-	if withTemplate {
-		count++ // template records count toward the header count
-	}
-
-	buf = binary.BigEndian.AppendUint16(buf, Version)
-	buf = binary.BigEndian.AppendUint16(buf, uint16(count))
-	buf = binary.BigEndian.AppendUint32(buf, 3_600_000) // SysUptime: end of the hour bin
-	buf = binary.BigEndian.AppendUint32(buf, unixSecs)
-	buf = binary.BigEndian.AppendUint32(buf, e.seq)
-	buf = binary.BigEndian.AppendUint32(buf, e.SourceID)
-	e.seq++
-
-	if withTemplate {
-		buf = appendTemplateFlowSet(buf, FlowTemplate)
-	}
-	var err error
-	buf, err = appendDataFlowSet(buf, FlowTemplate, records)
-	if err != nil {
-		return nil, err
-	}
-	return buf, nil
-}
-
-func appendTemplateFlowSet(buf []byte, t Template) []byte {
-	body := 4 + 4 + len(t.Fields)*4             // set header + template header + fields
-	buf = binary.BigEndian.AppendUint16(buf, 0) // FlowSet ID 0 = template
-	buf = binary.BigEndian.AppendUint16(buf, uint16(body))
-	buf = binary.BigEndian.AppendUint16(buf, t.ID)
-	buf = binary.BigEndian.AppendUint16(buf, uint16(len(t.Fields)))
-	for _, f := range t.Fields {
-		buf = binary.BigEndian.AppendUint16(buf, f.Type)
-		buf = binary.BigEndian.AppendUint16(buf, f.Length)
-	}
-	return buf
-}
-
-func appendDataFlowSet(buf []byte, t Template, records []flow.Record) ([]byte, error) {
-	recLen := t.RecordLen()
-	body := 4 + recLen*len(records)
-	pad := (4 - body%4) % 4
-	buf = binary.BigEndian.AppendUint16(buf, t.ID)
-	buf = binary.BigEndian.AppendUint16(buf, uint16(body+pad))
-	for i := range records {
-		var err error
-		buf, err = appendRecord(buf, &records[i])
-		if err != nil {
-			return nil, err
-		}
-	}
-	for i := 0; i < pad; i++ {
-		buf = append(buf, 0)
-	}
-	return buf, nil
-}
-
-func appendRecord(buf []byte, r *flow.Record) ([]byte, error) {
-	if !r.Key.Src.Is4() || !r.Key.Dst.Is4() {
-		return nil, fmt.Errorf("netflow: record %v is not IPv4", r.Key)
-	}
-	src, dst := r.Key.Src.As4(), r.Key.Dst.As4()
-	buf = append(buf, src[:]...)
-	buf = append(buf, dst[:]...)
-	buf = binary.BigEndian.AppendUint16(buf, r.Key.SrcPort)
-	buf = binary.BigEndian.AppendUint16(buf, r.Key.DstPort)
-	buf = append(buf, uint8(r.Key.Proto), r.TCPFlags)
-	buf = binary.BigEndian.AppendUint32(buf, uint32(min(r.Packets, 0xffffffff)))
-	buf = binary.BigEndian.AppendUint32(buf, uint32(min(r.Bytes, 0xffffffff)))
-	buf = binary.BigEndian.AppendUint32(buf, 0)         // FirstSwitched (uptime ms at hour start)
-	buf = binary.BigEndian.AppendUint32(buf, 3_599_999) // LastSwitched
-	return buf, nil
-}
-
-// Collector parses NetFlow v9 messages, maintaining a template cache
-// per (source ID, template ID). Feed is not safe for concurrent use,
-// but the Dropped and Gaps counters are atomics so a metrics reader
-// may load them while another goroutine drives Feed.
-type Collector struct {
-	templates map[uint64]Template
-	// Dropped counts data FlowSets skipped because their template has
-	// not been seen yet (possible over UDP; RFC 3954 §10).
-	Dropped atomic.Uint64
-	// Per-source sequence tracking. Unlike IPFIX, the v9 sequence
-	// number counts export packets (RFC 3954 §5.1), so the expected
-	// continuation is simply seq+1.
-	lastSeq map[uint32]uint32
-	// Gaps counts messages whose sequence number did not match the
-	// expected continuation (lost or reordered transport).
-	Gaps atomic.Uint64
-}
+// Collector parses NetFlow v9 messages; see flowwire.Collector.
+type Collector = flowwire.Collector
 
 // NewCollector returns an empty collector.
-func NewCollector() *Collector {
-	return &Collector{
-		templates: make(map[uint64]Template),
-		lastSeq:   make(map[uint32]uint32),
-	}
-}
+func NewCollector() *Collector { return flowwire.NewCollector(&Dialect) }
+
+// Exporter packages flow records into NetFlow v9 messages; see
+// flowwire.Exporter.
+type Exporter = flowwire.Exporter
+
+// NewExporter returns an exporter for one observation point.
+func NewExporter(sourceID uint32) *Exporter { return flowwire.NewExporter(&Dialect, sourceID) }
 
 // Errors returned by the collector.
 var (
@@ -254,233 +82,32 @@ var (
 	ErrBadVersion   = errors.New("netflow: unexpected version")
 )
 
-// Feed parses one message and returns the decoded flow records. It is
-// a thin compatibility wrapper over FeedInto: it decodes into a fresh
-// arena and returns the backing slice, allocating per call. Hot
-// callers should hold a reusable flow.Batch and call FeedInto.
-func (c *Collector) Feed(msg []byte) ([]flow.Record, error) {
-	var b flow.Batch
-	err := c.FeedInto(msg, &b)
-	return b.Records(), err
-}
-
-// FeedInto parses one message, appending every decoded record to b.
-// The batch's prior contents are preserved, and records decoded
-// before a mid-message error remain appended — callers that need
-// all-or-nothing semantics can Truncate back to the pre-call length.
-// With a warmed batch and a stable template, FeedInto performs zero
-// steady-state allocations per message.
+// parseHeader reads the v9 packet header (RFC 3954 §5.1). The count at
+// bytes 2–4 is not needed: FlowSets carry their own lengths.
 //
-// haystack:hotpath — runs once per datagram; error construction lives
-// in outlined cold helpers.
-func (c *Collector) FeedInto(msg []byte, b *flow.Batch) error {
+// haystack:hotpath — runs once per datagram.
+func parseHeader(msg []byte) (flowwire.Header, []byte, error) {
 	if len(msg) < headerLen {
-		return ErrShortMessage
+		return flowwire.Header{}, nil, ErrShortMessage
 	}
 	if v := binary.BigEndian.Uint16(msg[0:2]); v != Version {
-		return errBadVersion(v)
+		return flowwire.Header{}, nil, errBadVersion(v)
 	}
-	unixSecs := binary.BigEndian.Uint32(msg[8:12])
-	seq := binary.BigEndian.Uint32(msg[12:16])
-	sourceID := binary.BigEndian.Uint32(msg[16:20])
-	hour := simtime.Hour(int64(unixSecs) / 3600)
-
-	want, anchored := c.lastSeq[sourceID]
-
-	// The next expected sequence number is seq+1 (v9 counts export
-	// packets, not records). Both the gap comparison and the next
-	// anchor are only trusted when the whole message decodes cleanly:
-	// an untemplated or partial data FlowSet means we have lost
-	// template sync with the exporter — typically an exporter restart,
-	// which also resets its sequence counter — and a message that
-	// errors mid-parse is equally suspect. Counting those as ordinary
-	// gaps would report phantom loss and desynchronize accounting for
-	// the rest of the stream, so, exactly like internal/ipfix,
-	// sequence tracking is instead invalidated and re-anchored by the
-	// next clean message (gap accounting included).
-	counted := true
-	rest := msg[headerLen:]
-	for len(rest) >= 4 {
-		setID := binary.BigEndian.Uint16(rest[0:2])
-		setLen := int(binary.BigEndian.Uint16(rest[2:4]))
-		if setLen < 4 || setLen > len(rest) {
-			delete(c.lastSeq, sourceID)
-			return errSetOverrun(setLen, len(rest))
-		}
-		body := rest[4:setLen]
-		switch {
-		case setID == 0:
-			if err := c.parseTemplates(sourceID, body); err != nil {
-				delete(c.lastSeq, sourceID)
-				return err
-			}
-		case setID >= 256:
-			ok, err := c.parseDataInto(sourceID, setID, body, hour, b)
-			if err != nil {
-				delete(c.lastSeq, sourceID)
-				return err
-			}
-			if !ok {
-				counted = false
-			}
-		}
-		rest = rest[setLen:]
-	}
-	if counted {
-		if anchored && seq != want {
-			c.Gaps.Add(1)
-		}
-		c.lastSeq[sourceID] = seq + 1
-	} else {
-		delete(c.lastSeq, sourceID)
-	}
-	return nil
+	return flowwire.Header{
+		ExportTime: binary.BigEndian.Uint32(msg[8:12]),
+		Seq:        binary.BigEndian.Uint32(msg[seqOffset : seqOffset+4]),
+		Source:     binary.BigEndian.Uint32(msg[16:20]),
+	}, msg[headerLen:], nil
 }
 
-func (c *Collector) parseTemplates(sourceID uint32, body []byte) error {
-	for len(body) >= 4 {
-		id := binary.BigEndian.Uint16(body[0:2])
-		n := int(binary.BigEndian.Uint16(body[2:4]))
-		body = body[4:]
-		if len(body) < n*4 {
-			return fmt.Errorf("netflow: truncated template %d", id)
-		}
-		// RFC 3954 §9 exporters re-announce templates periodically over
-		// UDP; skip the allocation when the announcement matches the
-		// cached layout, so steady-state decode stays allocation-free.
-		key := templateKey(sourceID, id)
-		if cached, ok := c.templates[key]; ok && templateEqual(cached, body[:n*4]) {
-			body = body[n*4:]
-			continue
-		}
-		t := Template{ID: id, Fields: make([]FieldSpec, n)}
-		for i := 0; i < n; i++ {
-			t.Fields[i] = FieldSpec{
-				Type:   binary.BigEndian.Uint16(body[i*4:]),
-				Length: binary.BigEndian.Uint16(body[i*4+2:]),
-			}
-		}
-		body = body[n*4:]
-		c.templates[key] = t
-	}
-	return nil
+func putHeader(msg []byte, h flowwire.Header, count int) {
+	binary.BigEndian.PutUint16(msg[0:2], Version)
+	binary.BigEndian.PutUint16(msg[2:4], uint16(count))
+	binary.BigEndian.PutUint32(msg[4:8], 3_600_000) // SysUptime: end of the hour bin
+	binary.BigEndian.PutUint32(msg[8:12], h.ExportTime)
+	binary.BigEndian.PutUint32(msg[seqOffset:seqOffset+4], h.Seq)
+	binary.BigEndian.PutUint32(msg[16:20], h.Source)
 }
 
-// templateEqual reports whether the cached template matches a wire
-// announcement (spec holds the (type, length) pairs, 4 bytes each).
-//
-// haystack:hotpath — runs once per re-announced template.
-func templateEqual(t Template, spec []byte) bool {
-	if len(t.Fields)*4 != len(spec) {
-		return false
-	}
-	// Shrinking-view walk, like the data-record decoder: every read is
-	// against the guarded front of spec.
-	for i := range t.Fields {
-		if len(spec) < 4 {
-			return false
-		}
-		if t.Fields[i].Type != binary.BigEndian.Uint16(spec) ||
-			t.Fields[i].Length != binary.BigEndian.Uint16(spec[2:]) {
-			return false
-		}
-		spec = spec[4:]
-	}
-	return true
-}
-
-func templateKey(sourceID uint32, templateID uint16) uint64 {
-	return uint64(sourceID)<<16 | uint64(templateID)
-}
-
-// parseDataInto decodes one data FlowSet into the caller's arena. The
-// boolean reports whether the set decoded fully (false when the
-// template is missing, which leaves the stream's sequence
-// continuation untrusted).
-//
-// haystack:hotpath — runs once per data FlowSet.
-func (c *Collector) parseDataInto(sourceID uint32, setID uint16, body []byte, hour simtime.Hour, b *flow.Batch) (bool, error) {
-	t, ok := c.templates[templateKey(sourceID, setID)]
-	if !ok {
-		c.Dropped.Add(1)
-		return false, nil
-	}
-	recLen := t.RecordLen()
-	if recLen == 0 {
-		return false, errZeroLenTemplate(setID)
-	}
-	for len(body) >= recLen {
-		rec := b.Append()
-		rec.Hour = hour
-		// Walk the record by slicing the front off a view of it, so
-		// every access is guarded by the view's remaining length —
-		// sum(field lengths) == recLen makes the guard dead code, but
-		// the decoder stays safe (and provably in bounds) even if a
-		// template ever lied.
-		fields := body[:recLen]
-		for _, f := range t.Fields {
-			n := int(f.Length)
-			if n > len(fields) {
-				break
-			}
-			decodeField(rec, f, fields[:n])
-			fields = fields[n:]
-		}
-		body = body[recLen:]
-	}
-	// Remaining bytes < recLen are padding.
-	return true, nil
-}
-
-// Cold-path error constructors, outlined so the haystack:hotpath
-// decode functions above stay fmt-free. Each fires at most once per
-// malformed message, never per record.
+// errBadVersion is outlined so parseHeader stays fmt-free.
 func errBadVersion(v uint16) error { return fmt.Errorf("%w: %d", ErrBadVersion, v) }
-
-func errSetOverrun(setLen, remaining int) error {
-	return fmt.Errorf("netflow: flowset length %d exceeds remaining %d", setLen, remaining)
-}
-
-func errZeroLenTemplate(setID uint16) error {
-	return fmt.Errorf("netflow: template %d has zero-length records", setID)
-}
-
-// decodeField copies one template field into rec.
-//
-// haystack:hotpath — runs once per field per record.
-func decodeField(rec *flow.Record, f FieldSpec, b []byte) {
-	switch f.Type {
-	case FieldIPv4SrcAddr:
-		if len(b) == 4 {
-			rec.Key.Src = netip.AddrFrom4([4]byte(b))
-		}
-	case FieldIPv4DstAddr:
-		if len(b) == 4 {
-			rec.Key.Dst = netip.AddrFrom4([4]byte(b))
-		}
-	case FieldL4SrcPort:
-		rec.Key.SrcPort = uint16(beUint(b))
-	case FieldL4DstPort:
-		rec.Key.DstPort = uint16(beUint(b))
-	case FieldProtocol:
-		rec.Key.Proto = flow.Proto(beUint(b))
-	case FieldTCPFlags:
-		rec.TCPFlags = uint8(beUint(b))
-	case FieldInPkts:
-		rec.Packets = beUint(b)
-	case FieldInBytes:
-		rec.Bytes = beUint(b)
-	}
-}
-
-// beUint decodes a big-endian unsigned integer of 1–8 bytes.
-// beUint decodes a big-endian unsigned integer of any width.
-//
-// haystack:hotpath — runs several times per record.
-func beUint(b []byte) uint64 {
-	var v uint64
-	for _, x := range b {
-		v = v<<8 | uint64(x)
-	}
-	return v
-}

@@ -310,55 +310,21 @@ func (p *Pipeline) NewProducer() *Producer {
 	return pr
 }
 
-// Observe enqueues one sampled flow observation. Unlike
-// detect.Engine.Observe it does not report newly-fired rules: firing
-// happens asynchronously on the owning shard. Use the pipeline's read
-// accessors (which synchronize) to inspect detections.
+// Observe enqueues one sampled flow observation: ObserveBatch of one.
+// Unlike detect.Engine.Observe it does not report newly-fired rules:
+// firing happens asynchronously on the owning shard. Use the
+// pipeline's read accessors (which synchronize) to inspect detections.
 //
 // haystack:hotpath — runs once per sampled flow observation.
 func (pr *Producer) Observe(sub detect.SubID, h simtime.Hour, ip netip.Addr, port uint16, pkts uint64) {
-	p := pr.p
-	if p.closed.Load() {
-		panic("pipeline: Observe after Close")
-	}
-	size := int(p.batchSize.Load())
-	i := p.shardOf(sub)
-	s := p.shards[i]
-	pr.mu.Lock()
-	if pr.closed {
-		pr.mu.Unlock()
-		panic("pipeline: Observe on closed Producer")
-	}
-	b := pr.batch[i]
-	if b == nil {
-		select {
-		case b = <-s.free:
-		default:
-			b = make([]Obs, 0, size)
-		}
-	}
-	b = append(b, Obs{Sub: sub, Hour: h, IP: ip, Port: port, Pkts: pkts})
-	if len(b) >= size {
-		p.dispatch(s, b)
-		b = nil
-	}
-	pr.batch[i] = b
-	// Set dirty after buffering, still under pr.mu: a Sync that
-	// cleared the flag before this point either takes pr.mu after us
-	// and flushes this observation, or left it buffered — in which
-	// case the store guarantees the next Sync flushes it. Setting
-	// dirty first would let a racing Sync clear it over an empty
-	// buffer and strand the observation invisible to later reads.
-	p.dirty.Store(true)
-	pr.mu.Unlock()
+	pr.ObserveBatch([]Obs{{Sub: sub, Hour: h, IP: ip, Port: port, Pkts: pkts}})
 }
 
 // ObserveBatch enqueues a whole batch of observations, partitioning
 // it across shards under one producer-mutex acquisition instead of
-// one per record. Ordering matches calling Observe per element; like
-// Observe, it does not report newly-fired rules. The obs slice is
-// copied into per-shard buffers and may be reused by the caller
-// immediately on return.
+// one per record. A subscriber's observations keep their order. The
+// obs slice is copied into per-shard buffers and may be reused by the
+// caller immediately on return.
 //
 // haystack:hotpath — runs once per decoded flow batch.
 func (pr *Producer) ObserveBatch(obs []Obs) {
@@ -393,9 +359,12 @@ func (pr *Producer) ObserveBatch(obs []Obs) {
 		}
 		pr.batch[i] = b
 	}
-	// Same ordering argument as Observe: set dirty after buffering,
-	// still under pr.mu, so a racing Sync can never clear the flag
-	// over a buffer that is about to receive these observations.
+	// Set dirty after buffering, still under pr.mu: a Sync that
+	// cleared the flag before this point either takes pr.mu after us
+	// and flushes these observations, or left them buffered — in which
+	// case the store guarantees the next Sync flushes them. Setting
+	// dirty first would let a racing Sync clear it over an empty
+	// buffer and strand the observations invisible to later reads.
 	p.dirty.Store(true)
 	pr.mu.Unlock()
 }
