@@ -679,9 +679,10 @@ func (d *Detector) Listen(cfg ListenConfig) (*Server, error) {
 
 // batchTuner retunes the pipeline's dispatch threshold to the fan-in
 // controller's smoothed ingest rate, once per controller tick: higher
-// sustained rates earn larger batches (fewer handoffs per record),
-// while a quiet deployment keeps batches small so observations reach
-// the shards promptly. See pipeline.AdaptiveBatchSize for the policy.
+// sustained rates earn larger batches (fewer handoffs per record).
+// It is a throughput policy; the pipeline's flusher bounds how long an
+// observation waits in a partial batch at any rate. See
+// pipeline.AdaptiveBatchSize for the policy.
 func (s *Server) batchTuner(tick time.Duration) {
 	defer close(s.tuneDone)
 	t := time.NewTicker(tick)
@@ -833,9 +834,18 @@ type DetectorStats struct {
 	// batches dispatched to shard workers but not yet applied.
 	InflightBatches int `json:"inflight_batches"`
 	// BatchSize is the pipeline's current dispatch threshold
-	// (observations per shard batch). Under Listen it tracks the
-	// collector's smoothed ingest rate via pipeline.AdaptiveBatchSize.
+	// (observations per shard batch), a throughput setting: under
+	// Listen it tracks the collector's smoothed ingest rate via
+	// pipeline.AdaptiveBatchSize. How long a partial batch may wait is
+	// bounded separately, by the pipeline's flusher.
 	BatchSize int `json:"batch_size"`
+	// FlushFull counts shard batches dispatched because they reached
+	// BatchSize; FlushTimed counts partial batches dispatched because
+	// they had waited a full 1 ms tick (the pipeline's dwell bound).
+	// Both count batches, not records, and exclude the flushes reads
+	// and Close perform.
+	FlushFull  uint64 `json:"flush_full"`
+	FlushTimed uint64 `json:"flush_timed"`
 	// Windows is the number of completed aggregation windows
 	// (Rotate/Reset cuts); the current window's sequence number.
 	Windows uint64 `json:"windows"`
@@ -902,6 +912,7 @@ func (d *Detector) Stats() DetectorStats {
 	if len(queues) == 0 {
 		queues = nil
 	}
+	full, timed := d.pipe.Flushes()
 	return DetectorStats{
 		RecordsIPv4:      d.recordsV4.Load(),
 		RecordsIPv6:      d.recordsV6.Load(),
@@ -910,6 +921,8 @@ func (d *Detector) Stats() DetectorStats {
 		OpenFeeds:        d.pipe.Producers(),
 		InflightBatches:  d.pipe.Inflight(),
 		BatchSize:        d.pipe.BatchSize(),
+		FlushFull:        full,
+		FlushTimed:       timed,
 		Windows:          d.pipe.Window(),
 		EventSubscribers: subs,
 		EventsEmitted:    d.eventsEmitted.Load(),

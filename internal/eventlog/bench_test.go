@@ -77,3 +77,32 @@ func BenchmarkReadAt(b *testing.B) {
 	}
 	b.ReportMetric(float64(records)*float64(b.N)/b.Elapsed().Seconds(), "records/s")
 }
+
+// BenchmarkReadAtTail prices one poll of a tail consumer that is
+// nearly caught up: the newest 8 records, most of them at the end of a
+// full 256 KiB segment. The poll scans that segment from its start, so
+// what it costs beyond the 8 records is skipping the rest.
+func BenchmarkReadAtTail(b *testing.B) {
+	l, err := Open(Options{Dir: b.TempDir(), SegmentBytes: 256 << 10})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer l.Close()
+	rec := Record{Type: TypeEvent, Event: Event{
+		Rule: "Meross Dooropener", Level: "Man.",
+		First: time.Date(2019, time.November, 15, 9, 0, 0, 0, time.UTC),
+	}}
+	for i := 0; l.Stats().Segments < 2; i++ {
+		rec.Event.Subscriber = uint64(i)
+		if _, err := l.Append(&rec); err != nil {
+			b.Fatal(err)
+		}
+	}
+	from := l.NextOffset() - 8
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := l.ReadAt(from, func(uint64, Record) bool { return true }); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -312,6 +312,9 @@ type frameScanner struct {
 	limit    int64
 	consumed int64
 	buf      []byte
+	// hdr is reused per frame: a local array would escape through
+	// io.ReadFull and cost an allocation per frame.
+	hdr [frameHeaderLen]byte
 }
 
 func newFrameScanner(r io.Reader, limit int64) *frameScanner {
@@ -326,7 +329,7 @@ func (s *frameScanner) next() ([]byte, error) {
 	if s.limit >= 0 && s.consumed >= s.limit {
 		return nil, io.EOF
 	}
-	var hdr [frameHeaderLen]byte
+	hdr := &s.hdr
 	if _, err := io.ReadFull(s.r, hdr[:]); err != nil {
 		if errors.Is(err, io.EOF) {
 			return nil, io.EOF
@@ -592,10 +595,11 @@ func (l *Log) WaitAppend(ctx context.Context, off uint64) error {
 // returns false. It returns the offset the next read should start
 // from: one past the last record visited, or the clamped start if
 // nothing was visited. Reads run concurrently with appends and only
-// ever see complete records; a mid-log integrity failure returns an
-// error wrapping ErrCorrupt, and a segment deleted by retention
-// mid-read returns an error wrapping os.ErrNotExist (re-read from the
-// new OldestOffset).
+// ever see complete records; a mid-log integrity failure (a bad frame
+// anywhere in the scanned segments, or an undecodable record at or
+// after from) returns an error wrapping ErrCorrupt, and a segment
+// deleted by retention mid-read returns an error wrapping
+// os.ErrNotExist (re-read from the new OldestOffset).
 func (l *Log) ReadAt(from uint64, fn func(off uint64, rec Record) bool) (uint64, error) {
 	l.mu.Lock()
 	segs := append([]segment(nil), l.segs...)
@@ -624,18 +628,19 @@ func (l *Log) ReadAt(from uint64, fn func(off uint64, rec Record) bool) (uint64,
 			if err == io.EOF {
 				break
 			}
-			if err == nil {
+			// Records before from are only framed and checksummed: a
+			// tail consumer polls from near the head, and decoding the
+			// whole segment on every poll dominated its cost.
+			if err == nil && off >= from {
 				err = decodeRecord(payload, &rec)
 			}
 			if err != nil {
 				f.Close()
 				return off, fmt.Errorf("eventlog: %s record %d: %w", filepath.Base(seg.path), off-seg.base, err)
 			}
-			if off >= from {
-				if !fn(off, rec) {
-					f.Close()
-					return off + 1, nil
-				}
+			if off >= from && !fn(off, rec) {
+				f.Close()
+				return off + 1, nil
 			}
 			off++
 		}

@@ -116,8 +116,9 @@ func TestSetBatchSizeLiveRetune(t *testing.T) {
 }
 
 // Once per-shard buffers exist, the producer-side batch path is pure
-// appends under one lock: no allocations until a dispatch hands the
-// buffer off.
+// appends under one lock: no allocations, even when the flusher hands
+// a partial buffer off mid-measurement, because the next append then
+// reuses a recycled one.
 func TestObserveBatchZeroAllocsSteadyState(t *testing.T) {
 	dict, w := testDict(t)
 	obs := genObs(t, dict, w)
@@ -126,8 +127,21 @@ func TestObserveBatchZeroAllocsSteadyState(t *testing.T) {
 	}
 	p := New(dict, 0.4, 4)
 	defer p.Close()
+	// Fill every shard's recycle ring, as dispatches at a steady rate
+	// do, so a timed flush during the measurement cannot leave the
+	// next append without a recycled buffer.
+	for _, s := range p.shards {
+		for len(s.free) < cap(s.free) {
+			s.free <- make([]Obs, 0, DefaultBatchSize)
+		}
+	}
 	prod := p.NewProducer()
-	prod.ObserveBatch(obs) // warm: acquire per-shard buffers
+	// Warm: the engines learn every subscriber (a timed flush applying
+	// these observations must not allocate engine state mid-measurement),
+	// then the producer takes a recycled buffer per shard.
+	prod.ObserveBatch(obs)
+	p.Sync()
+	prod.ObserveBatch(obs)
 	runs := 0
 	allocs := testing.AllocsPerRun(10, func() {
 		// Stay below the dispatch threshold: this pins the per-record

@@ -29,6 +29,12 @@
 // require that no Observe is concurrently in flight: quiesce the
 // producer goroutines (or Close their handles) before reading.
 //
+// Batch size is a throughput policy only. A partial batch never waits
+// for more observations to fill it: once it has sat for a full
+// flushTick it is dispatched, by the producer's next ObserveBatch or
+// by the pipeline's one flusher goroutine, so an observation reaches
+// its shard within two ticks however quiet the feed goes after it.
+//
 // # Events and windows
 //
 // The read side is available in push form too: SetFireHook installs a
@@ -44,6 +50,7 @@ import (
 	"net/netip"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"repro/internal/detect"
 	"repro/internal/rules"
@@ -74,23 +81,25 @@ const DefaultBatchSize = 512
 
 // MinBatchSize and MaxBatchSize bound SetBatchSize: below the floor
 // per-batch dispatch overhead dominates, above the ceiling batches
-// add latency and pin memory without amortizing anything further.
+// pin memory without amortizing anything further.
 const (
 	MinBatchSize = 64
 	MaxBatchSize = 4096
 )
 
-// batchLatencyBudget is the dwell time AdaptiveBatchSize aims for: a
-// partial batch should represent about this many seconds of ingest,
-// so dispatch overhead is amortized at high rates without letting
-// low-rate observations linger in producer buffers.
+// batchLatencyBudget sizes AdaptiveBatchSize's threshold at about this
+// many seconds of pipeline-wide ingest, so the per-record dispatch cost
+// falls as the rate grows. Dwell is bounded by the flusher, not by
+// this budget.
 const batchLatencyBudget = 0.002
 
 // AdaptiveBatchSize maps an observed ingest rate in records/s — in a
 // deployment, the fan-in controller's EWMA — to a dispatch threshold:
 // about batchLatencyBudget worth of records, clamped to
-// [MinBatchSize, MaxBatchSize]. A rate of zero or below (controller
-// not yet seeded) keeps DefaultBatchSize.
+// [MinBatchSize, MaxBatchSize]. It is a throughput policy: larger
+// batches mean fewer handoffs per record, while the flusher bounds how
+// long a partial batch waits. A rate of zero or below (controller not
+// yet seeded) keeps DefaultBatchSize.
 func AdaptiveBatchSize(rate float64) int {
 	if rate <= 0 {
 		return DefaultBatchSize
@@ -108,6 +117,12 @@ func AdaptiveBatchSize(rate float64) int {
 // shardBacklog bounds how many batches may queue per shard before a
 // producer blocks (backpressure instead of unbounded memory).
 const shardBacklog = 4
+
+// flushTick is the flusher's period. A producer's partial batches are
+// dispatched once they were stamped at least one full tick ago — by
+// the flusher at a tick, or by the producer's own next ObserveBatch if
+// that comes first — so an observation waits at most two ticks.
+const flushTick = time.Millisecond
 
 type shard struct {
 	// mu guards eng between the worker (write-locked per batch) and
@@ -168,10 +183,28 @@ type Pipeline struct {
 	producers map[*Producer]struct{}
 
 	syncMu sync.Mutex // serializes Sync flush passes between readers
+
+	// The flusher (see flusher) advances epoch once per flushTick while
+	// any producer holds a stamp. wake unparks it: a producer sends on
+	// its 0→stamped transition, and capacity 1 means a pending wake
+	// absorbs later ones. flushStop/flushDone stop it and confirm it
+	// has exited.
+	epoch     atomic.Uint64
+	wake      chan struct{}
+	flushStop chan struct{}
+	flushDone chan struct{}
+
+	// flushFull and flushTimed count dispatched batches by cause: filled
+	// to the threshold, or dispatched because their stamp went stale (by
+	// the flusher, or by the producer itself). Sync/Close flushes count
+	// as neither.
+	flushFull  atomic.Uint64
+	flushTimed atomic.Uint64
 }
 
 // New starts a pipeline with n worker-owned engine shards at detection
-// threshold d. n < 1 is clamped to 1.
+// threshold d, plus its flusher. n < 1 is clamped to 1. Call Close to
+// stop them.
 func New(dict *rules.Dictionary, d float64, n int) *Pipeline {
 	if n < 1 {
 		n = 1
@@ -179,6 +212,9 @@ func New(dict *rules.Dictionary, d float64, n int) *Pipeline {
 	p := &Pipeline{
 		dict:      dict,
 		producers: make(map[*Producer]struct{}),
+		wake:      make(chan struct{}, 1),
+		flushStop: make(chan struct{}), // haystack:unbounded close-only shutdown signal for the flusher
+		flushDone: make(chan struct{}), // haystack:unbounded close-only flusher-exit acknowledgement
 	}
 	p.batchSize.Store(DefaultBatchSize)
 	p.quiet = sync.NewCond(&p.inflightMu)
@@ -203,6 +239,7 @@ func New(dict *rules.Dictionary, d float64, n int) *Pipeline {
 		p.workers.Add(1)
 		go p.run(s)
 	}
+	go p.flusher()
 	return p
 }
 
@@ -263,6 +300,68 @@ func (p *Pipeline) waitQuiesced() {
 	p.inflightMu.Unlock()
 }
 
+// flusher bounds how long an observation waits in a partial batch. It
+// parks on wake until a producer stamps, then ticks every flushTick:
+// each tick advances the epoch and, under each producer's own mutex —
+// the flush Sync performs, without waiting for the workers — dispatches
+// the partial batches of every producer stamped before the previous
+// tick; a producer still observing has usually flushed itself by then.
+// Once no producer holds a stamp it parks again, so an idle pipeline
+// costs nothing. It exits on flushStop.
+func (p *Pipeline) flusher() {
+	defer close(p.flushDone)
+	t := time.NewTicker(flushTick)
+	defer t.Stop()
+	var prs []*Producer // reused across ticks: a tick allocates nothing
+	for {
+		t.Stop()
+		select {
+		case <-p.flushStop:
+			return
+		case <-p.wake:
+		}
+		// Open a fresh epoch, so stamps taken while parked are flushed
+		// at the first tick rather than the second.
+		p.epoch.Add(1)
+		t.Reset(flushTick)
+		for stamped := true; stamped; {
+			select {
+			case <-p.flushStop:
+				return
+			case <-t.C:
+			}
+			e := p.epoch.Add(1)
+			prs = p.liveProducers(prs[:0])
+			stamped = false
+			for _, pr := range prs {
+				if s := pr.stamp.Load(); s != 0 && s < e {
+					pr.mu.Lock()
+					if s := pr.stamp.Load(); s != 0 && s < e {
+						pr.flushLocked(true)
+					}
+					pr.mu.Unlock()
+				}
+				// A producer that stamps after this load also sends a
+				// wake, which unparks the flusher at once.
+				if pr.stamp.Load() != 0 {
+					stamped = true
+				}
+			}
+		}
+	}
+}
+
+// liveProducers appends the open producers to dst, copied under p.mu
+// so their flushes run without holding it.
+func (p *Pipeline) liveProducers(dst []*Producer) []*Producer {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	for pr := range p.producers {
+		dst = append(dst, pr)
+	}
+	return dst
+}
+
 // shardOf maps a subscriber to its owning shard. SubIDs are often
 // sequential (line indices) or biased hashes, so mix before reducing.
 //
@@ -289,12 +388,16 @@ func (p *Pipeline) dispatch(s *shard, batch []Obs) {
 // unspecified.
 type Producer struct {
 	p *Pipeline
-	// mu guards the buffers against the flush Sync performs on behalf
-	// of readers. Uncontended in steady state: only Sync/Close take it
-	// from other goroutines.
+	// mu guards the buffers against the flushes Sync and the flusher
+	// perform. Lightly contended: besides the owner, only Sync/Close
+	// and the flusher (at most once per flushTick) take it.
 	mu     sync.Mutex
 	batch  [][]Obs // one buffer per shard, nil until first use
 	closed bool
+	// stamp is 0 from a flushLocked until the next ObserveBatch, which
+	// sets it to the flusher's epoch + 1. Written under mu, read by the
+	// flusher without it.
+	stamp atomic.Uint64
 }
 
 // NewProducer registers a new write handle. Producers left open are
@@ -354,6 +457,7 @@ func (pr *Producer) ObserveBatch(obs []Obs) {
 		}
 		b = append(b, obs[j])
 		if len(b) >= size {
+			p.flushFull.Add(1)
 			p.dispatch(s, b)
 			b = nil
 		}
@@ -366,6 +470,20 @@ func (pr *Producer) ObserveBatch(obs []Obs) {
 	// dirty first would let a racing Sync clear it over an empty
 	// buffer and strand the observations invisible to later reads.
 	p.dirty.Store(true)
+	// Stamp on the first batch since the last flush, and only then
+	// wake the flusher. The stamp is stored before the wake is sent, so
+	// a flusher that read it as 0 and parked is woken by this send.
+	// A producer that is still busy when its stamp goes stale flushes
+	// itself, so the flusher seldom has to take a busy producer's mutex.
+	if s := pr.stamp.Load(); s == 0 {
+		pr.stamp.Store(p.epoch.Load() + 1)
+		select {
+		case p.wake <- struct{}{}:
+		default: // a wake is already pending
+		}
+	} else if s < p.epoch.Load() {
+		pr.flushLocked(true)
+	}
 	pr.mu.Unlock()
 }
 
@@ -373,17 +491,24 @@ func (pr *Producer) ObserveBatch(obs []Obs) {
 // workers without waiting for them to be applied.
 func (pr *Producer) Flush() {
 	pr.mu.Lock()
-	pr.flushLocked()
+	pr.flushLocked(false)
 	pr.mu.Unlock()
 }
 
-func (pr *Producer) flushLocked() {
+// flushLocked dispatches every partial batch and clears the stamp;
+// timed counts each batch in flushTimed before it is handed off. The
+// caller holds pr.mu.
+func (pr *Producer) flushLocked(timed bool) {
 	for i, b := range pr.batch {
 		if len(b) > 0 {
+			if timed {
+				pr.p.flushTimed.Add(1)
+			}
 			pr.p.dispatch(pr.p.shards[i], b)
 			pr.batch[i] = nil
 		}
 	}
+	pr.stamp.Store(0)
 }
 
 // Close flushes the producer's partial batches and unregisters the
@@ -394,7 +519,7 @@ func (pr *Producer) Close() {
 		pr.mu.Unlock()
 		return
 	}
-	pr.flushLocked()
+	pr.flushLocked(false)
 	pr.closed = true
 	pr.mu.Unlock()
 	p := pr.p
@@ -419,6 +544,13 @@ func (p *Pipeline) Inflight() int {
 	return p.inflight
 }
 
+// Flushes returns how many batches have been dispatched because they
+// filled (full) and how many because they had waited a full flushTick
+// (timed). Flushes by Sync and Close count as neither.
+func (p *Pipeline) Flushes() (full, timed uint64) {
+	return p.flushFull.Load(), p.flushTimed.Load()
+}
+
 // Sync flushes the partial batches of every live producer and blocks
 // until every dispatched observation has been applied to its shard
 // engine. All read accessors call it implicitly; between Sync and the
@@ -431,13 +563,7 @@ func (p *Pipeline) Sync() {
 	p.syncMu.Lock()
 	defer p.syncMu.Unlock()
 	if p.dirty.Swap(false) {
-		p.mu.Lock()
-		prs := make([]*Producer, 0, len(p.producers))
-		for pr := range p.producers {
-			prs = append(prs, pr)
-		}
-		p.mu.Unlock()
-		for _, pr := range prs {
+		for _, pr := range p.liveProducers(nil) {
 			pr.Flush()
 		}
 	}
@@ -549,20 +675,18 @@ func (p *Pipeline) SetWindow(seq uint64) {
 	p.window.Store(seq)
 }
 
-// Close flushes and closes all live producers, drains pending work and
-// stops the shard workers. The pipeline remains readable after Close
-// but must not Observe again.
+// Close stops the flusher, flushes and closes all live producers,
+// drains pending work and stops the shard workers. The pipeline
+// remains readable after Close but must not Observe again.
 func (p *Pipeline) Close() {
 	if p.closed.Swap(true) {
 		return
 	}
-	p.mu.Lock()
-	prs := make([]*Producer, 0, len(p.producers))
-	for pr := range p.producers {
-		prs = append(prs, pr)
-	}
-	p.mu.Unlock()
-	for _, pr := range prs {
+	// The flusher dispatches onto shard channels: it must be gone
+	// before they close.
+	close(p.flushStop)
+	<-p.flushDone
+	for _, pr := range p.liveProducers(nil) {
 		pr.Close()
 	}
 	p.waitQuiesced()

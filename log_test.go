@@ -65,7 +65,8 @@ func startCrashRun(t *testing.T, s *System, shards int, exportDir, logDir string
 }
 
 // feed sends one exporter stream over the UDP socket and waits until
-// the server has received and decoded all of it (Sync → exact state).
+// the server has received and decoded all of it (Sync → exact state)
+// and every detection it fired has been appended to the log.
 func (r *crashRun) feed(t *testing.T, msgs [][]byte) {
 	t.Helper()
 	conn, err := net.Dial("udp", r.srv.Addrs()[0].String())
@@ -90,6 +91,28 @@ func (r *crashRun) feed(t *testing.T, msgs [][]byte) {
 		time.Sleep(time.Millisecond)
 	}
 	r.srv.Sync()
+	r.settle(t)
+}
+
+// settle waits until the event log holds every detection fired so far.
+// The collector's Sync covers only its lanes: the pipeline's flusher
+// may still dispatch a partial batch a few milliseconds later, so
+// Detections synchronizes the pipeline first, which leaves nothing
+// buffered to fire. Then the broker must have fanned out every emitted
+// event and the log writer appended every delivered one.
+func (r *crashRun) settle(t *testing.T) {
+	t.Helper()
+	r.det.Detections()
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
+		st, ws := r.det.Stats(), r.srv.LogWriterStats()
+		if st.EventsDelivered+st.EventsDropped >= st.EventsEmitted &&
+			ws.EventsAppended+ws.AppendErrors+st.SubscriberDrops >= st.EventsDelivered {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("events did not settle: %+v, writer %+v", st, ws)
+		}
+	}
 }
 
 // normalizedExport verifies a window file's trailer, then returns its

@@ -357,6 +357,50 @@ func TestDetectorSubscribeFanOutAndCancel(t *testing.T) {
 	}
 }
 
+// TestDetectorTimedFlushDeliversEventOverUDP: one NetFlow v9 datagram
+// through Listen over loopback, then silence — no RotateNow, no read,
+// no further traffic. Its DetectionEvent must still reach an open
+// Subscribe channel promptly, because the pipeline's flusher bounds how
+// long the record waits in a partial batch.
+func TestDetectorTimedFlushDeliversEventOverUDP(t *testing.T) {
+	s := sharedSystem(t)
+	det := s.NewShardedDetector(0.4, 4)
+	defer det.Close()
+	evCh, cancel := det.Subscribe()
+	defer cancel()
+	srv, err := det.Listen(ListenConfig{Config: collector.Config{
+		Listeners: []collector.Listener{{Addr: "127.0.0.1:0"}},
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+
+	msgs := merossMsgs(t, s, netip.MustParseAddr("100.64.9.9"), simtime.HourOf(s.StudyStart())+9, 1)
+	if len(msgs) != 1 {
+		t.Fatalf("exporter produced %d messages, want 1 datagram", len(msgs))
+	}
+	conn, err := net.Dial("udp", srv.Addrs()[0].String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if _, err := conn.Write(msgs[0]); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case ev := <-evCh:
+		if ev.Rule != "Meross Dooropener" || ev.Window != 0 {
+			t.Fatalf("event = %+v", ev)
+		}
+	case <-time.After(250 * time.Millisecond):
+		t.Fatal("no detection event within 250 ms of the datagram")
+	}
+	if st := det.Stats(); st.FlushTimed == 0 {
+		t.Fatalf("event arrived but FlushTimed = 0: %+v", st)
+	}
+}
+
 // TestDetectorCloseFlushesImplicitFeed pins the Close contract: an
 // observation buffered on the lazily-created default feed must reach
 // the pipeline when the detector is closed — FeedNetFlow, Close,
